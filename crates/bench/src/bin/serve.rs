@@ -12,14 +12,6 @@
 //! executors measure: `qw*` = queue wait (enqueue → pop), `p*` = sojourn
 //! (enqueue → response).
 //!
-//! `--group-commit` runs the whole sweep with batch-aware group commit
-//! (one clock bump per write-set-disjoint group). Independently of that
-//! flag, the report always carries a `group_commit_ab` section: an
-//! interleaved group-on/group-off A/B under NO_DELAY (like the PR 3
-//! ring-vs-mutex comparison), counter-verified via the STM's clock —
-//! `bumps_per_commit_group_on` is the "clock bumps per committed tx"
-//! number, which must sit below 1.0 under batching.
-//!
 //! Workload-shape flags: `--read-fraction <f>` overrides the base mix;
 //! `--read-heavy` applies the 90/10-with-scans preset (`read=0.9`,
 //! `rmw=0.05`, `scan=0.1@16` keys). Independently of those, the report
@@ -58,9 +50,6 @@ fn json_row(name: &str, shards: usize, r: &ServeReport) -> Json {
         ("queue_depth_max", Json::from(m.queue_depth_max)),
         ("clock_bumps", Json::from(r.clock_bumps)),
         ("bumps_per_commit", Json::from(r.clock_bumps_per_commit())),
-        ("group_commits", Json::from(m.group_commits)),
-        ("coalesced_writes", Json::from(m.coalesced_writes)),
-        ("group_fallbacks", Json::from(m.group_fallbacks)),
         ("snapshot_reads", Json::from(m.snapshot_reads)),
         ("snapshot_restarts", Json::from(m.snapshot_restarts)),
         ("chain_misses", Json::from(m.chain_misses)),
@@ -164,73 +153,6 @@ fn trace_ab(base: &ServeConfig, shards: usize, rounds: u64) -> Json {
         ("events", Json::from(events)),
         ("trace_dropped", Json::from(dropped)),
         ("checksums_agree", Json::from(true)),
-    ])
-}
-
-/// Interleaved group-commit A/B under NO_DELAY: alternate off/on rounds
-/// on one config (seed varies per round, shared within a round), report
-/// mean ops/s and the counter-verified clock-bumps-per-commit per arm.
-fn group_commit_ab(base: &ServeConfig, shards: usize, rounds: u64) -> Json {
-    let mut ops = [Vec::new(), Vec::new()]; // [off, on]
-    let mut bumps = [Vec::new(), Vec::new()];
-    let (mut group_commits, mut coalesced, mut fallbacks) = (0u64, 0u64, 0u64);
-    for round in 0..rounds {
-        let mut checksums = [0u64; 2];
-        for (arm, on) in [(0usize, false), (1usize, true)] {
-            let cfg = ServeConfig {
-                shards,
-                group_commit: on,
-                // Zero think time keeps the rings deep enough that
-                // batches (and therefore groups) actually form.
-                think_ns: 0,
-                seed: base.seed + round,
-                ..base.clone()
-            };
-            let r = run_server(&cfg, NoDelay::requestor_wins());
-            let m = r.stats.merged();
-            assert_eq!(m.commits + m.sheds, cfg.total_requests());
-            ops[arm].push(r.ops_per_sec());
-            bumps[arm].push(r.clock_bumps_per_commit());
-            checksums[arm] = r.state_checksum;
-            if on {
-                group_commits += m.group_commits;
-                coalesced += m.coalesced_writes;
-                fallbacks += m.group_fallbacks;
-            }
-        }
-        assert_eq!(
-            checksums[0], checksums[1],
-            "grouping must not change the final heap (round {round})"
-        );
-    }
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-    let (bumps_off, bumps_on) = (mean(&bumps[0]), mean(&bumps[1]));
-    assert!(
-        bumps_on < 1.0,
-        "group commit must bump the clock less than once per commit (got {bumps_on:.3})"
-    );
-    // Reads never bump, so the off arm already sits at the write
-    // fraction (< 1.0); the real gate is that grouping published at
-    // least one multi-member group and measurably beat per-tx on bumps.
-    assert!(group_commits > 0, "no groups published — grouping is dead");
-    assert!(
-        bumps_on < bumps_off,
-        "grouping must save clock bumps over per-tx commit \
-         ({bumps_on:.3} vs {bumps_off:.3})"
-    );
-    Json::obj([
-        ("policy", Json::from("NO_DELAY")),
-        ("shards", Json::from(shards)),
-        ("rounds", Json::from(rounds)),
-        ("interleaved", Json::from(true)),
-        ("ops_per_sec_group_off", Json::from(mean(&ops[0]))),
-        ("ops_per_sec_group_on", Json::from(mean(&ops[1]))),
-        ("bumps_per_commit_group_off", Json::from(bumps_off)),
-        ("bumps_per_commit_group_on", Json::from(bumps_on)),
-        ("group_commits", Json::from(group_commits)),
-        ("coalesced_writes", Json::from(coalesced)),
-        ("group_fallbacks", Json::from(fallbacks)),
-        ("group_saves_bumps", Json::from(bumps_on < bumps_off)),
     ])
 }
 
@@ -408,7 +330,6 @@ fn main() {
         std::process::exit(2);
     });
     let quick = table::quick();
-    let group_commit = flags.flag("group-commit");
     let read_heavy = flags.flag("read-heavy");
     let trace_path = flags.get("trace").map(str::to_string);
     let read_fraction_override: Option<f64> = flags.get("read-fraction").map(|v| {
@@ -421,7 +342,6 @@ fn main() {
     let shard_counts: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
     let clients = 8;
     let mut base = ServeConfig {
-        group_commit,
         clients,
         ops_per_client,
         keys: 1024,
@@ -447,8 +367,8 @@ fn main() {
     base.validate();
     println!(
         "# serve: sharded KV, {clients} closed-loop clients x {ops_per_client} ops, \
-         keys={}, zipf_s={}, read={}, rmw={}@{} keys, work={}ns, cap={}, batch={}, \
-         group_commit={group_commit} (latencies in ns; qw = queue wait, p = sojourn)",
+         keys={}, zipf_s={}, read={}, rmw={}@{} keys, work={}ns, cap={}, batch={} \
+         (latencies in ns; qw = queue wait, p = sojourn)",
         base.keys,
         base.zipf_s,
         base.read_fraction,
@@ -516,14 +436,8 @@ fn main() {
         ("work_ns", Json::from(base.work_ns)),
         ("queue_capacity", Json::from(base.queue_capacity)),
         ("batch_max", Json::from(base.batch_max)),
-        ("group_commit", Json::from(group_commit)),
         ("seed", Json::from(base.seed)),
     ]);
-    // Interleaved group-on/off A/B at the first shard count, always
-    // included so the committed report carries the counter-verified
-    // clock-bump ratio of both commit modes.
-    let ab = group_commit_ab(&base, shard_counts[0], if quick { 3 } else { 5 });
-    println!("# group_commit_ab: {}", ab.render());
     // The read-heavy preset swept under NO_DELAY — always included so the
     // committed report carries the row `trend_check` tracks even when the
     // main sweep ran another mix.
@@ -596,7 +510,6 @@ fn main() {
     });
     let mut report = bench_report("serve", config, rows);
     if let Json::Obj(pairs) = &mut report {
-        pairs.push(("group_commit_ab".into(), ab));
         pairs.push((
             "read_heavy".into(),
             Json::obj([("rows", Json::arr(rh_rows))]),

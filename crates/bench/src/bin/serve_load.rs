@@ -43,9 +43,6 @@ fn json_row(name: &str, offered: f64, r: &ServeReport) -> Json {
         ("queue_depth_max", Json::from(m.queue_depth_max)),
         ("clock_bumps", Json::from(r.clock_bumps)),
         ("bumps_per_commit", Json::from(r.clock_bumps_per_commit())),
-        ("group_commits", Json::from(m.group_commits)),
-        ("coalesced_writes", Json::from(m.coalesced_writes)),
-        ("group_fallbacks", Json::from(m.group_fallbacks)),
         ("snapshot_reads", Json::from(m.snapshot_reads)),
         ("snapshot_restarts", Json::from(m.snapshot_restarts)),
         ("chain_misses", Json::from(m.chain_misses)),
@@ -88,10 +85,6 @@ fn main() {
         std::process::exit(2);
     });
     let quick = table::quick();
-    // `--group-commit`: run the sweep with batch-aware group commit, so
-    // the open-loop latency decomposition can be A/B'd against the
-    // committed per-tx baseline.
-    let group_commit = flags.flag("group-commit");
     let clients = 4;
     let shards = 2;
     // Offered load points, total requests/second across the fleet. The top
@@ -107,7 +100,6 @@ fn main() {
     let mut base = ServeConfig {
         shards,
         clients,
-        group_commit,
         keys: 1024,
         zipf_s: 1.1,
         read_fraction: 0.5,
@@ -136,7 +128,7 @@ fn main() {
     println!(
         "# serve_load: open-loop sharded KV, {clients} clients, {shards} shards, \
          keys={}, zipf_s={}, read={}, rmw={}@{} keys, work={}ns, cap={}, batch={}, \
-         group_commit={group_commit}, window=64, horizon={horizon_secs}s/point \
+         window=64, horizon={horizon_secs}s/point \
          (latencies in ns; qw = queue wait, svc = service, p = sojourn)",
         base.keys,
         base.zipf_s,
@@ -213,7 +205,6 @@ fn main() {
         ("work_ns", Json::from(base.work_ns)),
         ("queue_capacity", Json::from(base.queue_capacity)),
         ("batch_max", Json::from(base.batch_max)),
-        ("group_commit", Json::from(group_commit)),
         ("seed", Json::from(base.seed)),
     ]);
     let mut report = bench_report("serve_load", config, rows);

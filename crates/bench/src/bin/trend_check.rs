@@ -108,7 +108,8 @@ type Row = (String, f64);
 
 /// The serve report's main-sweep slice: everything before the first
 /// appended section (a report that predates the sections is returned
-/// whole — its rows *are* the main sweep).
+/// whole — its rows *are* the main sweep). `group_commit_ab` is a section
+/// older baselines still carry ahead of `read_heavy`.
 fn main_sweep(json: &str) -> &str {
     let end = ["\"group_commit_ab\"", "\"read_heavy\""]
         .iter()

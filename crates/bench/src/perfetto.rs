@@ -11,8 +11,8 @@
 //!   (enqueue → pop; these overlap freely, hence async) and a complete
 //!   `X` span for its **service** time (executors serve one envelope at
 //!   a time, so service spans nest cleanly on the shard track),
-//! - instants (`i`) for aborts, sheds, steals, group commits/fallbacks,
-//!   and snapshot restarts, carrying cause and home key in `args`.
+//! - instants (`i`) for aborts, sheds, steals and snapshot restarts,
+//!   carrying cause and home key in `args`.
 //!
 //! Timestamps are microseconds (floats) since the trace epoch, the unit
 //! the Chrome format mandates.
@@ -112,35 +112,14 @@ pub fn perfetto_json(rep: &TraceReport) -> Json {
                 ));
                 events.push(Json::Obj(i));
             }
-            TraceKind::GroupCommit => {
-                let mut i = record("group-commit", "i", ev.ts_ns, ev.shard);
-                i.push(("s".into(), Json::from("t")));
-                i.push((
-                    "args".into(),
-                    Json::obj([
-                        ("members", Json::from(ev.a)),
-                        ("coalesced", Json::from(ev.b)),
-                    ]),
-                ));
-                events.push(Json::Obj(i));
-            }
-            TraceKind::GroupFallback => {
-                let mut i = record("group-fallback", "i", ev.ts_ns, ev.shard);
-                i.push(("s".into(), Json::from("t")));
-                i.push((
-                    "args".into(),
-                    Json::obj([("tx", Json::from(ev.tx)), ("key", Json::from(ev.key))]),
-                ));
-                events.push(Json::Obj(i));
-            }
             TraceKind::SnapshotRestart => {
                 let mut i = record("snapshot-restart", "i", ev.ts_ns, ev.shard);
                 i.push(("s".into(), Json::from("t")));
                 i.push(("args".into(), Json::obj([("key", Json::from(ev.key))])));
                 events.push(Json::Obj(i));
             }
-            // The chatty per-phase kinds (Enqueue, Pop, Speculate,
-            // Acquire, Validate, Publish, SnapshotRead) stay out of the
+            // The chatty per-phase kinds (Enqueue, Pop, Acquire,
+            // Validate, Publish, SnapshotRead) stay out of the
             // viewer export — they are already folded into the summary
             // and would multiply the file size without adding tracks.
             _ => {}

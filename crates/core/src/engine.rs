@@ -107,18 +107,6 @@ pub struct EngineStats {
     /// Envelopes this shard's executor stole from sibling rings and
     /// executed (work-stealing; 0 when stealing is disabled).
     pub steals: u64,
-    /// Write-set-disjoint transaction groups published under a single
-    /// clock bump (batch-aware group commit; 0 when grouping is disabled
-    /// or every group was read-only).
-    pub group_commits: u64,
-    /// Same-key writes folded into an already-planned write slot during
-    /// group commit (commutative increments coalescing): each writer
-    /// beyond the first on an address counts one.
-    pub coalesced_writes: u64,
-    /// Transactions that entered the group-commit path but fell back to
-    /// the per-transaction commit (speculation aborted, a foreign lock was
-    /// met, or validation failed inside the group).
-    pub group_fallbacks: u64,
     /// Read-only transactions served by the MVCC snapshot path (one per
     /// completed snapshot txn; also counted in `commits`).
     pub snapshot_reads: u64,
@@ -163,9 +151,6 @@ pub struct EngineStats {
     /// Service histogram: pop → response, i.e. sojourn minus queue wait
     /// (includes every abort/retry of the transaction).
     pub service_hist: LatencyHistogram,
-    /// Log-histogram of published group-commit sizes (members per clock
-    /// bump); empty when grouping is disabled.
-    pub group_batch_hist: LatencyHistogram,
     /// Width of one throughput-sample interval (same time unit as `cycles`);
     /// `0` disables interval sampling. Shards of one run must agree on the
     /// width for [`merge`](Self::merge) to make sense.
@@ -209,9 +194,6 @@ impl EngineStats {
         self.capacity_sheds += other.capacity_sheds;
         self.invalid_sheds += other.invalid_sheds;
         self.steals += other.steals;
-        self.group_commits += other.group_commits;
-        self.coalesced_writes += other.coalesced_writes;
-        self.group_fallbacks += other.group_fallbacks;
         self.snapshot_reads += other.snapshot_reads;
         self.snapshot_restarts += other.snapshot_restarts;
         self.chain_misses += other.chain_misses;
@@ -224,7 +206,6 @@ impl EngineStats {
         self.latency_hist.merge(&other.latency_hist);
         self.queue_wait_hist.merge(&other.queue_wait_hist);
         self.service_hist.merge(&other.service_hist);
-        self.group_batch_hist.merge(&other.group_batch_hist);
         if self.interval_ns == 0 {
             self.interval_ns = other.interval_ns;
         }
@@ -339,15 +320,6 @@ impl EngineStats {
     /// Record the queue wait of one request (enqueue → pop), streaming.
     pub fn record_queue_wait(&mut self, v: u64) {
         self.queue_wait_hist.record(v);
-    }
-
-    /// Record one published commit group: `members` transactions went out
-    /// under a single clock bump, `coalesced` of their writes folded into
-    /// slots already planned by an earlier member.
-    pub fn record_group_commit(&mut self, members: u64, coalesced: u64) {
-        self.group_commits += 1;
-        self.coalesced_writes += coalesced;
-        self.group_batch_hist.record(members);
     }
 
     /// Record the service time of one request (pop → response), streaming.
@@ -523,23 +495,6 @@ impl ShardedStats {
     /// across shards.
     pub fn steals(&self) -> u64 {
         self.per_thread.iter().map(|c| c.steals).sum()
-    }
-
-    /// Commit groups published under a single clock bump, summed across
-    /// shards.
-    pub fn group_commits(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.group_commits).sum()
-    }
-
-    /// Same-key writes folded away by group commit, summed across shards.
-    pub fn coalesced_writes(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.coalesced_writes).sum()
-    }
-
-    /// Transactions that fell back from the group path to the per-tx
-    /// commit, summed across shards.
-    pub fn group_fallbacks(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.group_fallbacks).sum()
     }
 
     /// Read-only transactions served by the MVCC snapshot path, summed
@@ -1192,35 +1147,6 @@ mod tests {
         assert_eq!(sh.snapshot_restarts(), 1);
         assert_eq!(sh.chain_misses(), 4);
         assert_eq!(sh.merged().snapshot_reads, 8);
-    }
-
-    #[test]
-    fn group_commit_counters_record_and_merge() {
-        let mut a = EngineStats::default();
-        a.record_group_commit(4, 1); // 4 members, 1 fold
-        a.record_group_commit(2, 0);
-        a.group_fallbacks = 3;
-        assert_eq!(a.group_commits, 2);
-        assert_eq!(a.coalesced_writes, 1);
-        assert_eq!(a.group_batch_hist.count(), 2);
-        assert_eq!(a.group_batch_hist.max(), 4, "batch sizes land in the hist");
-        let mut b = EngineStats::default();
-        b.record_group_commit(8, 5);
-        b.group_fallbacks = 1;
-        a.merge(&b);
-        assert_eq!(
-            (a.group_commits, a.coalesced_writes, a.group_fallbacks),
-            (3, 6, 4)
-        );
-        assert_eq!(a.group_batch_hist.count(), 3);
-        let mut sh = ShardedStats::new(2);
-        sh.per_thread[0].record_group_commit(3, 2);
-        sh.per_thread[1].record_group_commit(5, 0);
-        sh.per_thread[1].group_fallbacks = 7;
-        assert_eq!(sh.group_commits(), 2);
-        assert_eq!(sh.coalesced_writes(), 2);
-        assert_eq!(sh.group_fallbacks(), 7);
-        assert_eq!(sh.merged().group_batch_hist.count(), 2);
     }
 
     #[test]

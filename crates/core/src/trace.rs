@@ -12,9 +12,9 @@
 //!   onto the traced path. Emission is a ticket CAS plus two plain
 //!   stores; it never blocks and never allocates.
 //! * [`TraceEvent`] / [`TraceKind`] — one fixed-size timestamped record
-//!   per lifecycle step: enqueue, pop/steal, speculate, the three commit
-//!   phases, group publish/fallback, abort (with cause **and the granted
-//!   grace period**), snapshot read/restart, shed.
+//!   per lifecycle step: enqueue, pop/steal, the three commit phases,
+//!   abort (with cause **and the granted grace period**), snapshot
+//!   read/restart, shed.
 //! * [`HotKeyTable`] — a fixed-size lock-free count-min sketch plus a
 //!   SpaceSaving-style candidate table: every abort is attributed to its
 //!   transaction's home key, so "which keys cause the aborts under
@@ -77,9 +77,6 @@ pub enum TraceKind {
     /// Executor stole a batch from a sibling ring (`a` = batch size,
     /// `b` = victim shard).
     Steal,
-    /// Group-commit phase A speculation finished (`a` = 1 success /
-    /// 0 aborted-to-rerun).
-    Speculate,
     /// Per-transaction commit acquired all its write locks (`a` =
     /// write-set size).
     Acquire,
@@ -87,12 +84,6 @@ pub enum TraceKind {
     Validate,
     /// Writes published under a clock bump (`a` = write-set size).
     Publish,
-    /// A whole group published under ONE clock bump (`a` = members,
-    /// `b` = coalesced same-key writes).
-    GroupCommit,
-    /// A member was evicted from its group and re-ran per-tx (`a` =
-    /// batch member index).
-    GroupFallback,
     /// An attempt aborted (`cause` = abort cause, `a` = grace period the
     /// arbiter granted before the losing side died, nanoseconds; 0 when
     /// no contention consult preceded the abort).

@@ -93,12 +93,6 @@ pub struct ServeConfig {
     /// when siblings are barely backlogged, recovering part of the
     /// steal-on cost measured on small hosts.
     pub steal_min_depth: usize,
-    /// Batch-aware group commit: executors speculate their popped batch,
-    /// partition it into write-set-disjoint groups (same-key commutative
-    /// increments fold), and publish each group under a single global
-    /// clock bump; conflicting members fall back to the per-transaction
-    /// path. Off by default (per-transaction commit).
-    pub group_commit: bool,
     /// Queue-wait SLO for adaptive admission, microseconds; `0` keeps the
     /// fixed shed-on-full-only behavior. When set, a shard sheds while its
     /// windowed p99 queue wait exceeds the SLO (with hysteresis — see
@@ -137,7 +131,6 @@ impl Default for ServeConfig {
             batch_max: 16,
             steal: true,
             steal_min_depth: 0,
-            group_commit: false,
             slo_us: 0,
             stats_interval_ns: 10_000_000,
             trace: TraceConfig::default(),
@@ -261,7 +254,6 @@ mod tests {
         assert!(cfg.steal, "work stealing is the default serving behavior");
         assert_eq!(cfg.slo_us, 0, "adaptive admission is opt-in");
         assert_eq!(cfg.steal_min_depth, 0, "steal gating is opt-in");
-        assert!(!cfg.group_commit, "group commit is opt-in");
         assert!(cfg.snapshot_reads, "MVCC snapshot reads are the default");
         assert_eq!(cfg.scan_fraction, 0.0, "scans are opt-in");
         assert!(!cfg.trace.enabled, "lifecycle tracing is opt-in");

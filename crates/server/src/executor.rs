@@ -44,7 +44,7 @@ use tcp_core::engine::EngineStats;
 use tcp_core::policy::GracePolicy;
 use tcp_core::rng::Xoshiro256StarStar;
 use tcp_core::trace::{Trace, TraceKind};
-use tcp_stm::runtime::{Abort, Addr, GroupCommit, MemberOutcome, PreparedTx, Stm, TxCtx};
+use tcp_stm::runtime::{Stm, TxCtx};
 
 use crate::client::spin_ns;
 use crate::protocol::{Request, Response};
@@ -82,10 +82,6 @@ pub struct ExecutorConfig {
     /// threshold recovers the idle-park/locality cost of speculative
     /// steal scans on hosts where siblings are rarely backlogged.
     pub steal_min_depth: usize,
-    /// Commit popped batches as write-set-disjoint groups under a single
-    /// clock bump (see [`GroupCommit`]); members that conflict fall back
-    /// to the per-transaction path.
-    pub group_commit: bool,
     /// Serve read-only requests (`Get`/`GetRange`/`GetMany`) through the
     /// MVCC snapshot fast path: one clock sample, version-chain reads, no
     /// locks, no validation, no arbiter. Off routes them through the
@@ -119,21 +115,6 @@ pub fn run_executor<P: GracePolicy>(
     let own = &queues[cfg.shard];
     let mut batch = Vec::with_capacity(cfg.batch_max);
     let mut idle_park = IDLE_PARK_MIN;
-    // Group-commit machinery, reused across batches: the planner's
-    // scratch, a pool of speculation read/write sets, the speculated
-    // envelopes awaiting their group's verdict, the outcome table, the
-    // member→envelope index, eviction re-run responses, and one group
-    // counter tally merged into the shard stats at exit.
-    let mut gc = GroupCommit::new();
-    if let Some(t) = &cfg.trace {
-        gc.set_trace(Arc::clone(t));
-    }
-    let mut member_pool: Vec<PreparedTx> = Vec::new();
-    let mut pending: Vec<(Envelope, Pending)> = Vec::new();
-    let mut outcomes: Vec<MemberOutcome> = Vec::new();
-    let mut member_env: Vec<usize> = Vec::new();
-    let mut fallback_resps: Vec<Option<Response>> = Vec::new();
-    let mut group_stats = EngineStats::default();
     loop {
         // Own ring first: home work keeps its locality and its FIFO.
         let mut source = cfg.shard;
@@ -211,132 +192,17 @@ pub fn run_executor<P: GracePolicy>(
         // envelope's completion for the rest. Head-of-line blocking behind
         // batch predecessors therefore counts as queue wait, not service —
         // otherwise the last envelope of a full batch would report up to
-        // batch_max× its true service time. (In group-commit mode the
-        // whole batch's speculation + group publish run before the first
-        // reply, so that shared cost lands on the first envelope's
-        // service; the decomposition queue-wait + service = sojourn holds
-        // in both modes.)
+        // batch_max× its true service time.
         let mut service_start = Instant::now();
-        if cfg.group_commit && n > 1 {
-            // Phase A: run every envelope speculatively, in batch order —
-            // except that under snapshot mode read-only requests are
-            // served immediately from the MVCC chains (they serialize at
-            // their clock sample, need no group membership, and must not
-            // touch the speculation/validation machinery at all).
-            pending.clear();
-            member_env.clear();
-            fallback_resps.clear();
-            let mut spec_count = 0usize;
-            for env in batch.drain(..) {
-                ctx.set_trace_tag(env.gen, env.req.home_key());
-                if cfg.snapshot_reads && env.req.is_read_only() {
-                    let resp = execute_snapshot(&mut ctx, &env.req, cfg.work_ns);
-                    pending.push((env, Pending::Ready(resp)));
-                    continue;
-                }
-                if member_pool.len() == spec_count {
-                    member_pool.push(PreparedTx::new());
-                }
-                match speculate_request(
-                    &mut ctx,
-                    &mut member_pool[spec_count],
-                    &env.req,
-                    cfg.work_ns,
-                ) {
-                    Ok(kind) => {
-                        ctx.trace_event(TraceKind::Speculate, 1, 0);
-                        member_env.push(pending.len());
-                        fallback_resps.push(None);
-                        pending.push((env, Pending::Member(spec_count, kind)));
-                        spec_count += 1;
-                    }
-                    Err(a) => {
-                        // A conflict mid-speculation is an ordinary abort;
-                        // the envelope re-runs through the per-tx path.
-                        ctx.stats.record_abort(a.into(), 0);
-                        ctx.trace_event(TraceKind::Speculate, 0, 0);
-                        ctx.trace_abort(a.into());
-                        if env.req.is_read_only() {
-                            ctx.stats.read_aborts += 1;
-                        }
-                        ctx.arbiter.on_abort();
-                        pending.push((env, Pending::Rerun));
-                    }
-                }
-            }
-            // Phase B: plan disjoint groups and publish each under a
-            // single clock bump. An evicted member re-runs per-tx *inside
-            // the fallback hook* — after its group's publish, before the
-            // next group commits — so batch order stays the serialization
-            // order and the final heap is grouping-independent even for
-            // order-sensitive absolute writes.
-            {
-                let ctx = &mut ctx;
-                let fallback_resps = &mut fallback_resps;
-                let member_env = &member_env;
-                gc.commit_batch_with(
-                    stm,
-                    cfg.shard,
-                    &mut member_pool[..spec_count],
-                    &mut group_stats,
-                    &mut outcomes,
-                    |mi| {
-                        let env = &pending[member_env[mi]].0;
-                        ctx.set_trace_tag(env.gen, env.req.home_key());
-                        ctx.trace_event(TraceKind::GroupFallback, mi as u64, 0);
-                        let before = ctx.stats.aborts;
-                        fallback_resps[mi] = Some(execute(ctx, &env.req, cfg.work_ns));
-                        if env.req.is_read_only() {
-                            ctx.stats.read_aborts += ctx.stats.aborts - before;
-                        }
-                    },
-                );
-            }
-            // Phase C: deliver responses in batch order. Group-committed
-            // members build value-bearing responses from their resolved
-            // write entries; fallbacks already re-ran (above, or here for
-            // speculation aborts) through the per-tx path, where the
-            // ConflictArbiter governs whatever evicted them.
-            for (env, spec) in pending.drain(..) {
-                let resp = match spec {
-                    Pending::Ready(resp) => resp,
-                    Pending::Member(j, kind) if outcomes[j] == MemberOutcome::Committed => {
-                        ctx.stats.commits += 1;
-                        ctx.arbiter.on_commit();
-                        finish_response(&kind, &member_pool[j])
-                    }
-                    Pending::Member(j, _) => {
-                        ctx.stats.group_fallbacks += 1;
-                        fallback_resps[j]
-                            .take()
-                            .expect("fallback member was re-run in the hook")
-                    }
-                    Pending::Rerun => {
-                        ctx.stats.group_fallbacks += 1;
-                        ctx.set_trace_tag(env.gen, env.req.home_key());
-                        execute_request(&mut ctx, cfg, &env.req)
-                    }
-                };
-                service_start =
-                    record_envelope(&mut ctx, &queues[source], cfg, &env, service_start);
-                let _ = env.reply.put(env.gen, resp);
-            }
-        } else {
-            for env in batch.drain(..) {
-                ctx.set_trace_tag(env.gen, env.req.home_key());
-                let resp = execute_request(&mut ctx, cfg, &env.req);
-                service_start =
-                    record_envelope(&mut ctx, &queues[source], cfg, &env, service_start);
-                // Misdeliveries are counted inside the cell and surfaced
-                // via `ServeReport::reply_faults`; nothing to do here.
-                let _ = env.reply.put(env.gen, resp);
-            }
+        for env in batch.drain(..) {
+            ctx.set_trace_tag(env.gen, env.req.home_key());
+            let resp = execute_request(&mut ctx, cfg, &env.req);
+            service_start = record_envelope(&mut ctx, &queues[source], cfg, &env, service_start);
+            // Misdeliveries are counted inside the cell and surfaced
+            // via `ServeReport::reply_faults`; nothing to do here.
+            let _ = env.reply.put(env.gen, resp);
         }
     }
-    // Group counters accumulate in a side tally (the planner can't
-    // borrow ctx.stats while the fallback hook holds ctx) and fold in
-    // once per run, not per batch.
-    ctx.stats.merge(&group_stats);
     // Surface this shard's ring high-water mark through the per-shard
     // stats (merging still takes the max, so the global view is the
     // deepest ring of the run).
@@ -368,21 +234,8 @@ fn record_envelope<P: GracePolicy>(
         .record_latency_streaming(queue_wait.saturating_add(service));
     ctx.stats
         .record_interval_commit(done.saturating_duration_since(cfg.run_start).as_nanos() as u64);
-    ctx.set_trace_tag(env.gen, env.req.home_key());
     ctx.trace_event(TraceKind::Done, queue_wait, service);
     done
-}
-
-/// How one batch envelope awaits its reply in group-commit mode.
-enum Pending {
-    /// Speculated as group member `usize`; the response is built from
-    /// the member's resolved writes once its group commits.
-    Member(usize, RespKind),
-    /// Already served (the MVCC snapshot fast path) — reply as-is.
-    Ready(Response),
-    /// Speculation aborted; re-run through the per-tx path at response
-    /// time.
-    Rerun,
 }
 
 /// Dispatch one request to its serving path: the MVCC snapshot reader
@@ -405,122 +258,6 @@ fn execute_request<P: GracePolicy>(
         return resp;
     }
     execute(ctx, req, cfg.work_ns)
-}
-
-/// What a speculated request still needs to produce its [`Response`]
-/// after its group commits: value-bearing responses resolve against the
-/// member's (possibly folded) write entries.
-enum RespKind {
-    /// `Get`: the value is final at speculation time (read-only members
-    /// serialize before their group's writers).
-    Value(u64),
-    /// `Put`: the response carries no value.
-    Written,
-    /// `Add`: respond with the resolved value of this address.
-    Added(Addr),
-    /// `Rmw`: respond with Σ over steps of `resolved(addr) − deficit`,
-    /// where the deficit re-creates each step's intermediate value from
-    /// the final one (repeated keys within one RMW fold in-transaction).
-    RmwSum(Vec<(Addr, u64)>),
-    /// `GetRange`/`GetMany`: the summed response is final at speculation
-    /// time, like `Value`.
-    Done(Response),
-}
-
-/// Run one request's transaction body **speculatively** on `ctx`: the
-/// read/write sets land in `prep`, nothing commits. Returns how to build
-/// the response once the group publishes.
-fn speculate_request<'s, P: GracePolicy>(
-    ctx: &mut TxCtx<'s, P>,
-    prep: &mut PreparedTx,
-    req: &Request,
-    work_ns: u64,
-) -> Result<RespKind, Abort> {
-    match req {
-        Request::Get(k) => {
-            let a = *k as usize;
-            ctx.speculate_into(prep, |tx| {
-                let v = tx.read(a)?;
-                spin_ns(work_ns);
-                Ok(RespKind::Value(v))
-            })
-        }
-        Request::Put(k, v) => {
-            let (a, v) = (*k as usize, *v);
-            ctx.speculate_into(prep, |tx| {
-                spin_ns(work_ns);
-                tx.write(a, v)?;
-                Ok(RespKind::Written)
-            })
-        }
-        Request::Add(k, delta) => {
-            let (a, delta) = (*k as usize, *delta);
-            ctx.speculate_into(prep, |tx| {
-                tx.write_add(a, delta)?;
-                spin_ns(work_ns);
-                Ok(RespKind::Added(a))
-            })
-        }
-        Request::Rmw { keys, delta } => {
-            let delta = *delta;
-            let steps = ctx.speculate_into(prep, |tx| {
-                let mut steps = Vec::with_capacity(keys.len());
-                for &k in keys {
-                    let v = tx.write_add(k as usize, delta)?;
-                    steps.push((k as usize, v));
-                }
-                spin_ns(work_ns);
-                Ok(steps)
-            })?;
-            // Deficit = member-final − step value, so each step's
-            // intermediate value can be rebuilt from the group-resolved
-            // final one without knowing the fold base in advance.
-            Ok(RespKind::RmwSum(
-                steps
-                    .into_iter()
-                    .map(|(a, v)| {
-                        let fin = prep.value_of(a).expect("rmw step wrote this addr");
-                        (a, fin.wrapping_sub(v))
-                    })
-                    .collect(),
-            ))
-        }
-        Request::GetRange { start, len } => {
-            let (start, len) = (*start as usize, *len as usize);
-            let heap = ctx.heap_len();
-            ctx.speculate_into(prep, |tx| {
-                let mut sum = 0u64;
-                for a in start.min(heap)..start.saturating_add(len).min(heap) {
-                    sum = sum.wrapping_add(tx.read(a)?);
-                }
-                spin_ns(work_ns);
-                Ok(RespKind::Done(Response::RangeSum(sum)))
-            })
-        }
-        Request::GetMany { keys } => ctx.speculate_into(prep, |tx| {
-            let mut sum = 0u64;
-            for &k in keys {
-                sum = sum.wrapping_add(tx.read(k as usize)?);
-            }
-            spin_ns(work_ns);
-            Ok(RespKind::Done(Response::ManySum(sum)))
-        }),
-    }
-}
-
-/// Build the final [`Response`] of a group-committed member from its
-/// resolved write entries.
-fn finish_response(kind: &RespKind, prep: &PreparedTx) -> Response {
-    let resolved = |a: Addr| prep.value_of(a).expect("committed member wrote this addr");
-    match kind {
-        RespKind::Value(v) => Response::Value(*v),
-        RespKind::Written => Response::Written,
-        RespKind::Added(a) => Response::Added(resolved(*a)),
-        RespKind::RmwSum(steps) => Response::RmwSum(steps.iter().fold(0u64, |s, &(a, deficit)| {
-            s.wrapping_add(resolved(a).wrapping_sub(deficit))
-        })),
-        RespKind::Done(resp) => *resp,
-    }
 }
 
 /// Execute one request as an STM transaction on this shard's context. The
@@ -648,7 +385,6 @@ mod tests {
             run_start: Instant::now(),
             steal,
             steal_min_depth: 0,
-            group_commit: false,
             snapshot_reads: false,
             trace: None,
         }
@@ -752,142 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn group_executor_commits_disjoint_batch_under_one_bump() {
-        // 10 Adds on distinct keys, one batch: all fold into one
-        // write-set-disjoint group → a single clock bump, every reply
-        // delivered, commits exact.
-        let stm = Stm::new(64, 1);
-        let (queue, cells) = filled_queue(0..10);
-        queue.close();
-        let queues = [queue];
-        let cfg = ExecutorConfig {
-            batch_max: 16,
-            group_commit: true,
-            ..drain_config(0, false)
-        };
-        let stats = run_executor(
-            &stm,
-            NoDelay::requestor_aborts(),
-            Xoshiro256StarStar::new(1),
-            &queues,
-            &cfg,
-        );
-        assert_eq!(stats.commits, 10);
-        assert_eq!(stats.group_fallbacks, 0, "disjoint writers never fall back");
-        assert_eq!(stats.group_commits, 1, "one published group");
-        assert_eq!(stm.clock_value(), 1, "one clock bump for the whole batch");
-        assert_eq!(stats.latency_hist.count(), 10, "one sojourn per commit");
-        for (k, cell) in cells.iter().enumerate() {
-            assert_eq!(cell.take(), Response::Added(1), "key {k}");
-            assert_eq!(cell.faults(), (0, 0));
-        }
-    }
-
-    #[test]
-    fn group_executor_folds_same_key_burst_with_serial_responses() {
-        // 8 Adds on ONE key in a single batch: they coalesce into one
-        // publish, and each response still carries its serial value —
-        // observable results are independent of the grouping.
-        let stm = Stm::new(16, 1);
-        let queue = Arc::new(ShardQueue::new(32));
-        let cells: Vec<_> = (0..8).map(|_| Arc::new(ReplyCell::new())).collect();
-        for cell in &cells {
-            let gen = cell.issue();
-            queue
-                .try_push(Envelope::new(Request::Add(5, 1), Arc::clone(cell), gen))
-                .unwrap_or_else(|_| panic!("push"));
-        }
-        queue.close();
-        let queues = [queue];
-        let cfg = ExecutorConfig {
-            batch_max: 16,
-            group_commit: true,
-            ..drain_config(0, false)
-        };
-        let stats = run_executor(
-            &stm,
-            NoDelay::requestor_aborts(),
-            Xoshiro256StarStar::new(2),
-            &queues,
-            &cfg,
-        );
-        assert_eq!(stats.commits, 8);
-        assert_eq!(stats.group_commits, 1);
-        assert_eq!(stats.coalesced_writes, 7, "seven folds onto the first");
-        assert_eq!(stm.clock_value(), 1);
-        assert_eq!(stm.read_direct(5), 8);
-        for (i, cell) in cells.iter().enumerate() {
-            assert_eq!(
-                cell.take(),
-                Response::Added(i as u64 + 1),
-                "response {i} must match the serial (batch) order"
-            );
-        }
-    }
-
-    #[test]
-    fn group_executor_matches_per_tx_heap_on_mixed_traffic() {
-        // The same request stream — adds, gets, cross-key RMWs — lands
-        // the same heap whether batches group-commit or commit per-tx.
-        let reqs: Vec<Request> = (0..40)
-            .map(|i| match i % 4 {
-                0 => Request::Add(i % 7, i + 1),
-                1 => Request::Get(i % 5),
-                2 => Request::Rmw {
-                    keys: vec![i % 3, 8 + i % 3, i % 3],
-                    delta: 2,
-                },
-                _ => Request::Add(3, 1),
-            })
-            .collect();
-        let run = |group_commit: bool| -> (Vec<u64>, Vec<Response>, u64) {
-            let stm = Stm::new(64, 1);
-            let queue = Arc::new(ShardQueue::new(64));
-            let cells: Vec<_> = reqs.iter().map(|_| Arc::new(ReplyCell::new())).collect();
-            for (req, cell) in reqs.iter().zip(cells.iter()) {
-                let gen = cell.issue();
-                queue
-                    .try_push(Envelope::new(req.clone(), Arc::clone(cell), gen))
-                    .unwrap_or_else(|_| panic!("push"));
-            }
-            queue.close();
-            let queues = [queue];
-            let cfg = ExecutorConfig {
-                batch_max: 16,
-                group_commit,
-                ..drain_config(0, false)
-            };
-            let stats = run_executor(
-                &stm,
-                NoDelay::requestor_aborts(),
-                Xoshiro256StarStar::new(3),
-                &queues,
-                &cfg,
-            );
-            assert_eq!(stats.commits, reqs.len() as u64);
-            let resps = cells.iter().map(|c| c.take()).collect();
-            (stm.snapshot_direct(), resps, stm.clock_value())
-        };
-        let (heap_grouped, resp_grouped, bumps_grouped) = run(true);
-        let (heap_per_tx, resp_per_tx, bumps_per_tx) = run(false);
-        assert_eq!(heap_grouped, heap_per_tx, "grouping must not change state");
-        // Writer responses resolve in member order and must match the
-        // per-tx serial execution exactly. Read-only Gets serialize at
-        // the *front* of their group (they validated pre-group values) —
-        // a legal linearization of concurrent requests, but not
-        // necessarily the per-tx interleaving — so they are excluded.
-        for ((req, a), b) in reqs.iter().zip(&resp_grouped).zip(&resp_per_tx) {
-            if !matches!(req, Request::Get(_)) {
-                assert_eq!(a, b, "writer response diverged for {req:?}");
-            }
-        }
-        assert!(
-            bumps_grouped < bumps_per_tx,
-            "grouping must spend fewer clock bumps ({bumps_grouped} vs {bumps_per_tx})"
-        );
-    }
-
-    #[test]
     fn snapshot_executor_serves_reads_from_chains_without_arbiter() {
         // A mixed ring: writes seed keys 0..8 with value 1 each, then
         // scans and gets read them. Under snapshot mode every read-only
@@ -930,52 +530,6 @@ mod tests {
         assert_eq!(cells[8].take(), Response::RangeSum(8));
         assert_eq!(cells[9].take(), Response::ManySum(3));
         assert_eq!(cells[10].take(), Response::Value(1));
-    }
-
-    #[test]
-    fn group_executor_snapshot_reads_bypass_speculation() {
-        // Group-commit mode with snapshot reads: read-only envelopes are
-        // served straight from the chains (never becoming group members)
-        // while the writers still group under one bump.
-        let stm = Stm::new(64, 1);
-        let queue = Arc::new(ShardQueue::new(32));
-        let mut cells = Vec::new();
-        let mut reqs: Vec<Request> = (0..6).map(|k| Request::Add(k, 2)).collect();
-        reqs.push(Request::GetRange { start: 0, len: 64 });
-        reqs.push(Request::Get(0));
-        for req in &reqs {
-            let cell = Arc::new(ReplyCell::new());
-            let gen = cell.issue();
-            queue
-                .try_push(Envelope::new(req.clone(), Arc::clone(&cell), gen))
-                .unwrap_or_else(|_| panic!("push"));
-            cells.push(cell);
-        }
-        queue.close();
-        let queues = [queue];
-        let cfg = ExecutorConfig {
-            batch_max: 16,
-            group_commit: true,
-            snapshot_reads: true,
-            ..drain_config(0, false)
-        };
-        let stats = run_executor(
-            &stm,
-            NoDelay::requestor_aborts(),
-            Xoshiro256StarStar::new(4),
-            &queues,
-            &cfg,
-        );
-        assert_eq!(stats.commits, reqs.len() as u64);
-        assert_eq!(stats.snapshot_reads, 2);
-        assert_eq!(stats.group_commits, 1, "writers still form one group");
-        assert_eq!(stats.group_fallbacks, 0);
-        assert_eq!(stats.read_aborts, 0);
-        // The snapshot reads ran before the batch's group publish (batch
-        // order) — they see the pre-batch heap.
-        assert_eq!(cells[6].take(), Response::RangeSum(0));
-        assert_eq!(cells[7].take(), Response::Value(0));
-        assert_eq!(stm.read_direct(3), 2, "writers still published");
     }
 
     #[test]

@@ -190,8 +190,11 @@ impl ShardQueue {
     /// under concurrency — but never above `capacity`); hands the envelope
     /// back on shed so the caller retains ownership of the request.
     ///
-    /// Lock-free: a producer finishes in a bounded number of steps unless
-    /// other producers keep winning the ticket CAS (system-wide progress).
+    /// Lock-free among producers: a producer finishes in a bounded number
+    /// of steps unless other producers keep winning the ticket CAS. The
+    /// one wait is on a consumer: a producer whose slot was claimed last
+    /// lap but not yet freed yields until the claiming consumer stores the
+    /// freed sequence number — the last step of its pop.
     pub fn try_push(&self, env: Envelope) -> Result<usize, Envelope> {
         let mut tail_word = self.tail.load(Ordering::SeqCst);
         loop {
@@ -206,7 +209,15 @@ impl ShardQueue {
             // advances, so a depth that passes here can only have shrunk by
             // the time the CAS wins: the bound is never exceeded.
             let head = self.head.load(Ordering::SeqCst);
-            if tail.wrapping_sub(head) >= self.capacity {
+            let depth = tail.wrapping_sub(head);
+            if (depth as isize) < 0 {
+                // Stale `tail`: since we read it, other producers pushed
+                // and consumers popped past it. The distance is
+                // meaningless (it underflowed); read the cursor again.
+                tail_word = self.tail.load(Ordering::SeqCst);
+                continue;
+            }
+            if depth >= self.capacity {
                 return Err(env);
             }
             let slot = &self.slots[tail & self.mask];
@@ -238,9 +249,17 @@ impl ShardQueue {
                         Err(t) => tail_word = t,
                     }
                 }
-                // The slot still holds last lap's unconsumed envelope: the
-                // ring is physically full (implies depth ≥ capacity too).
-                std::cmp::Ordering::Less => return Err(env),
+                // The slot still carries last lap's sequence number. The
+                // depth check passed, so `head` is past last lap's
+                // position: a consumer won the claim on it but has not yet
+                // stored the freed seq. The ring is not full — wait for
+                // that store instead of shedding. (Other consumers can
+                // keep `head` moving meanwhile, which is how a producer
+                // laps onto such a slot well below capacity.)
+                std::cmp::Ordering::Less => {
+                    std::thread::yield_now();
+                    tail_word = self.tail.load(Ordering::SeqCst);
+                }
                 // Another producer lapped us between the loads; refresh.
                 std::cmp::Ordering::Greater => tail_word = self.tail.load(Ordering::SeqCst),
             }

@@ -47,8 +47,7 @@ pub struct ServeReport {
     /// one-delivery-per-request protocol.
     pub reply_faults: u64,
     /// Final value of the STM's global version clock = write publishes
-    /// performed. With group commit this is what shrinks: one bump per
-    /// disjoint group instead of one per writing transaction.
+    /// performed: one bump per committed writing transaction.
     pub clock_bumps: u64,
     /// Display name of the grace policy that served the run.
     pub policy: String,
@@ -74,9 +73,10 @@ impl ServeReport {
         }
     }
 
-    /// Global-clock bumps per committed transaction — the coherence-traffic
-    /// ratio group commit exists to push below 1.0. (Read-only commits
-    /// never bump, so even per-tx commit sits at the write fraction.)
+    /// Global-clock bumps per committed transaction — the share of commits
+    /// that write the one word every writer on every core touches.
+    /// Read-only commits never bump, so the ratio sits at the fraction of
+    /// commits that write.
     pub fn clock_bumps_per_commit(&self) -> f64 {
         let commits = self.stats.commits();
         if commits == 0 {
@@ -138,7 +138,6 @@ where
                     run_start: start,
                     steal: cfg.steal,
                     steal_min_depth: cfg.steal_min_depth,
-                    group_commit: cfg.group_commit,
                     snapshot_reads: cfg.snapshot_reads,
                     trace: trace.clone(),
                 };
@@ -466,34 +465,6 @@ mod tests {
         assert_eq!(r.state_sum, r.increments_applied);
         assert!(m.queue_depth_max <= 4, "depth can never exceed capacity");
         assert_eq!(r.reply_faults, 0);
-    }
-
-    #[test]
-    fn group_commit_serves_and_conserves_under_contention() {
-        // Same cross-shard contended config as the conservation test, but
-        // with batch-aware group commit on: every admitted request still
-        // commits exactly once, the heap still sums to the admitted
-        // increments, and the clock never bumps more often than commits.
-        let cfg = ServeConfig {
-            group_commit: true,
-            ..small(4, 0.5, 11)
-        };
-        let r = run_server(&cfg, RandRw);
-        let m = r.stats.merged();
-        assert_eq!(m.commits + m.sheds, cfg.total_requests());
-        assert_eq!(r.state_sum, r.increments_applied);
-        assert_eq!(m.latency_hist.count(), m.commits);
-        assert_eq!(r.reply_faults, 0);
-        assert!(
-            r.clock_bumps <= m.commits,
-            "clock bumps ({}) can never exceed commits ({})",
-            r.clock_bumps,
-            m.commits
-        );
-        assert!(
-            m.group_fallbacks <= m.commits,
-            "fallbacks are a subset of commits"
-        );
     }
 
     #[test]

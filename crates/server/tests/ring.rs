@@ -16,7 +16,10 @@
 //!    stealers (`try_pop_batch` from non-owner threads) partitions the
 //!    envelopes exactly-once, each consumer still observing per-producer
 //!    FIFO in its own claim order, and close/drain stays exact with a
-//!    stealer pending.
+//!    stealer pending;
+//! 6. **no spurious sheds** — while fewer envelopes are outstanding than
+//!    the capacity, `try_push` admits every one, however the producers'
+//!    cursor reads interleave with consumers claiming and freeing slots.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -369,4 +372,63 @@ fn consumer_parks_and_wakes_across_bursts() {
         assert_eq!(got.len(), 160);
         assert!(got.windows(2).all(|w| w[0].1 < w[1].1), "FIFO across parks");
     });
+}
+
+#[test]
+fn below_capacity_pushes_never_shed_under_owner_and_stealer() {
+    // Two producers share an outstanding budget below the capacity: a
+    // producer takes a unit before its push and a consumer returns it only
+    // after its pop, so the ring never holds more envelopes than the
+    // budget and every `Err` from `try_push` is a spurious shed. An owner
+    // and one stealer drain with `try_pop_batch`; the stealer keeps `head`
+    // moving while the owner sits between a claim and the slot's free, and
+    // the reverse.
+    const PRODUCERS: u64 = 2;
+    const PER_PRODUCER: u64 = 500_000;
+    const CAPACITY: usize = 32;
+    const BUDGET: u64 = CAPACITY as u64 - 4;
+    let q = Arc::new(ShardQueue::new(CAPACITY));
+    let outstanding = AtomicU64::new(0);
+    let popped = AtomicU64::new(0);
+    let spurious = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for p in 0..PRODUCERS {
+            let (q, outstanding, spurious) = (&q, &outstanding, &spurious);
+            s.spawn(move || {
+                let cell = Arc::new(ReplyCell::new());
+                for i in 0..PER_PRODUCER {
+                    while outstanding.fetch_add(1, Ordering::SeqCst) >= BUDGET {
+                        outstanding.fetch_sub(1, Ordering::SeqCst);
+                        std::thread::yield_now();
+                    }
+                    let mut env = Envelope::new(Request::Put(p, i), Arc::clone(&cell), i);
+                    while let Err(back) = q.try_push(env) {
+                        spurious.fetch_add(1, Ordering::SeqCst);
+                        env = back;
+                    }
+                }
+            });
+        }
+        for batch in [3, 2] {
+            let (q, outstanding, popped) = (&q, &outstanding, &popped);
+            s.spawn(move || {
+                let mut buf = Vec::new();
+                while popped.load(Ordering::SeqCst) < PRODUCERS * PER_PRODUCER {
+                    let n = q.try_pop_batch(batch, &mut buf) as u64;
+                    buf.clear();
+                    outstanding.fetch_sub(n, Ordering::SeqCst);
+                    popped.fetch_add(n, Ordering::SeqCst);
+                    if n == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(popped.load(Ordering::SeqCst), PRODUCERS * PER_PRODUCER);
+    assert_eq!(
+        spurious.load(Ordering::SeqCst),
+        0,
+        "try_push shed with fewer than {BUDGET} of {CAPACITY} envelopes outstanding"
+    );
 }

@@ -163,12 +163,9 @@ fn executor_sequence(r: &ServeReport) -> Vec<(TraceKind, TraceCause, u16, u64, u
             matches!(
                 e.kind,
                 TraceKind::Pop
-                    | TraceKind::Speculate
                     | TraceKind::Acquire
                     | TraceKind::Validate
                     | TraceKind::Publish
-                    | TraceKind::GroupCommit
-                    | TraceKind::GroupFallback
                     | TraceKind::Abort
                     | TraceKind::SnapshotRead
                     | TraceKind::SnapshotRestart
@@ -225,39 +222,4 @@ fn same_seed_logical_event_sequence_is_deterministic_with_steal_off() {
         sorted.sort_unstable();
         assert_eq!(dones, sorted, "shard {shard} served out of FIFO order");
     }
-}
-
-#[test]
-fn group_commit_trace_counts_groups_and_fallbacks() {
-    // Group-commit mode: the trace must carry GroupCommit events whose
-    // count matches the engine's group_commits counter, and speculation
-    // members sum consistently.
-    let cfg = traced(ServeConfig {
-        group_commit: true,
-        ..contended(53)
-    });
-    let r = run_server(&cfg, RandRw);
-    let m = r.stats.merged();
-    let rep = r.trace.as_ref().unwrap();
-    let group_events = rep
-        .events
-        .iter()
-        .filter(|e| e.kind == TraceKind::GroupCommit)
-        .count() as u64;
-    assert_eq!(group_events, m.group_commits, "one event per group publish");
-    let fallback_events = rep
-        .events
-        .iter()
-        .filter(|e| e.kind == TraceKind::GroupFallback)
-        .count() as u64;
-    assert!(
-        fallback_events <= m.group_fallbacks,
-        "hook-evicted members ({fallback_events}) are a subset of all fallbacks ({})",
-        m.group_fallbacks
-    );
-    // Abort attribution still holds in group mode (speculation aborts
-    // included).
-    assert_eq!(rep.abort_total(TraceCause::Conflict), m.conflict_aborts);
-    assert_eq!(rep.abort_total(TraceCause::Validation), m.validation_aborts);
-    assert_eq!(rep.abort_total(TraceCause::RemoteKill), m.remote_kills);
 }

@@ -1,5 +1,5 @@
 //! A TL2-style word-based software transactional memory with pluggable
-//! grace-period conflict management and batch-aware group commit.
+//! grace-period conflict management.
 //!
 //! The paper's policies are derived for HTM, where decisions are local,
 //! immediate, and unchangeable (§1). This runtime exercises the same
@@ -13,27 +13,11 @@
 //! * per-word versioned write-locks (version + lock bit + owner id packed
 //!   into one `AtomicU64`), values in a second `AtomicU64`;
 //! * reads validate against the snapshot version and are recorded in a read
-//!   set; writes are buffered as typed [`WriteEntry`]s — absolute stores
-//!   ([`WriteOp::Set`]) or commutative increments ([`WriteOp::Add`]);
-//! * commit runs three explicit phases — **acquire** write locks in
-//!   address order, **validate** the read set, **publish** under a clock
-//!   bump — shared between the per-transaction path and [`GroupCommit`].
-//!
-//! **Group commit** is the batch-aware extension: a batch executor runs
-//! its popped transactions *speculatively* ([`TxCtx::speculate_into`],
-//! producing [`PreparedTx`] read/write sets without committing), then
-//! hands the batch to [`GroupCommit`], which partitions it into
-//! write-set-disjoint groups (commutative increments on the same key
-//! *fold* instead of conflicting), and publishes each group under a
-//! **single clock bump**. The global clock is the one word every writer
-//! on every core must touch, so one bump per group — instead of one per
-//! transaction — is what shrinks the shared-write window the paper's
-//! conflict analysis identifies as the scalability limiter. Members that
-//! meet a foreign lock or fail validation fall back to the per-tx path,
-//! where the [`ConflictArbiter`] grace machinery governs the conflict as
-//! usual; observable state is independent of how transactions were
-//! grouped (groups serialize in batch order, folded increments resolve
-//! their per-member values in that same order).
+//!   set; writes are buffered as [`WriteEntry`]s, one per address;
+//! * commit runs three explicit phases per transaction — **acquire** write
+//!   locks in address order, **validate** the read set, **publish** under
+//!   one clock bump. A held lock met in phase 1 goes to the
+//!   [`ConflictArbiter`], which decides how long to wait before aborting.
 //!
 //! **Memory layout** (see the README's "Memory layout" section for the
 //! full diagram): the heap is a structure-of-arrays. The *hot* array
@@ -400,8 +384,7 @@ impl Stm {
     }
 
     /// Current value of the global version clock — equivalently, the
-    /// number of clock bumps (write publishes) so far. Group commit exists
-    /// to make this grow *slower* than the commit count. Acquire: pairs
+    /// number of clock bumps (write publishes) so far. Acquire: pairs
     /// with committers' AcqRel bumps, so state published at the returned
     /// clock value is visible.
     pub fn clock_value(&self) -> u64 {
@@ -512,33 +495,14 @@ impl Stm {
     }
 }
 
-/// What kind of write a [`WriteEntry`] buffers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WriteOp {
-    /// Absolute store: publishes `val`, conflicts with any other write to
-    /// the same word.
-    #[default]
-    Set,
-    /// Commutative increment by `delta`: group commit folds concurrent
-    /// `Add`s on the same word into one publish.
-    Add,
-}
-
-/// One buffered write. Entries are unique per address within a
-/// transaction (later writes update the entry in place). `Copy +
-/// Default` so write sets fit [`InlineVec`]'s always-initialized inline
-/// storage.
+/// One buffered write: the value this transaction publishes at `addr`.
+/// Entries are unique per address within a transaction (later writes
+/// update the entry in place). `Copy + Default` so write sets fit
+/// [`InlineVec`]'s always-initialized inline storage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WriteEntry {
     pub addr: Addr,
-    pub op: WriteOp,
-    /// The value this transaction would publish. For `Add` entries inside
-    /// a committed group this is rewritten to the *resolved* value — the
-    /// word's value at this member's serialization point — so responses
-    /// derived from it match the group's serial order.
     pub val: u64,
-    /// Accumulated increment (meaningful for `Add` entries only).
-    pub delta: u64,
 }
 
 /// How a failed lock acquisition failed.
@@ -550,11 +514,10 @@ enum LockFail {
 }
 
 /// Commit phase 1 primitive: try to acquire `a`'s write lock for `owner`,
-/// retrying internal CAS races. `max_version` is the newest snapshot the
-/// acquirer can tolerate (its `rv`; for a folded group slot, the minimum
-/// over the slot's writers). Returns the pre-lock meta for the restore
-/// table.
-fn lock_cell(stm: &Stm, a: Addr, owner: usize, max_version: u64) -> Result<u64, LockFail> {
+/// retrying internal CAS races. A version newer than the acquirer's
+/// snapshot `rv` fails as [`LockFail::Stale`]. Returns the pre-lock meta
+/// for the restore table.
+fn lock_cell(stm: &Stm, a: Addr, owner: usize, rv: u64) -> Result<u64, LockFail> {
     let pair = stm.pair(a);
     loop {
         // Relaxed screening load: the CAS below is the authoritative
@@ -566,13 +529,12 @@ fn lock_cell(stm: &Stm, a: Addr, owner: usize, max_version: u64) -> Result<u64, 
         if is_locked(meta) {
             return Err(LockFail::Busy(meta));
         }
-        if version_of(meta) > max_version {
+        if version_of(meta) > rv {
             return Err(LockFail::Stale);
         }
         // Acquire on success: pairs with the previous owner's Release
         // meta store (publish or unlock-restore), making its value and
-        // chain writes visible to this lock holder — the group publish
-        // reads `value` under the lock relying on exactly this edge.
+        // chain writes visible to this lock holder.
         // Relaxed on failure: we just re-examine.
         if pair
             .meta
@@ -588,30 +550,6 @@ fn lock_cell(stm: &Stm, a: Addr, owner: usize, max_version: u64) -> Result<u64, 
         }
         // Raced with a concurrent locker; re-examine.
         std::hint::spin_loop();
-    }
-}
-
-/// Commit phase 2 primitive: is the read `(a, m1)` still valid for a
-/// committer running at snapshot `rv`? A word locked by `owner` itself is
-/// valid when its *pre-lock* version (looked up via `prelock`, the
-/// restore table) was within the snapshot.
-fn validate_read(
-    stm: &Stm,
-    owner: usize,
-    a: Addr,
-    m1: u64,
-    rv: u64,
-    prelock: impl Fn(Addr) -> Option<u64>,
-) -> bool {
-    // Acquire: pairs with writers' Release meta stores, so a meta equal
-    // to m1 proves no publish completed on this word since the read —
-    // the TL2 phase-2 invariant that the value read earlier still
-    // belongs to version m1.
-    let m = stm.pair(a).meta.load(Ordering::Acquire);
-    if is_locked(m) {
-        owner_of(m) == owner && matches!(prelock(a), Some(pm) if version_of(pm) <= rv)
-    } else {
-        m == m1
     }
 }
 
@@ -851,38 +789,6 @@ impl<'s, P: GracePolicy> TxCtx<'s, P> {
             }
         }
     }
-
-    /// Run `body` once **speculatively**: execute it against the current
-    /// snapshot, capturing the read and write sets into `prep`, without
-    /// committing and without retrying. On success the caller hands the
-    /// [`PreparedTx`] to [`GroupCommit`]; on abort the caller falls back
-    /// to [`run`](Self::run). `prep`'s allocations are reused across
-    /// calls.
-    pub fn speculate_into<T>(
-        &mut self,
-        prep: &mut PreparedTx,
-        body: impl FnOnce(&mut Tx<'_, 's, P>) -> Result<T, Abort>,
-    ) -> Result<T, Abort> {
-        // Same orderings as `run` (see there).
-        self.stm.kill_flags[self.id].store(false, Ordering::Relaxed);
-        let rv = self.stm.clock.load(Ordering::Acquire);
-        prep.reads.clear();
-        prep.writes.clear();
-        prep.rv = rv;
-        let mut tx = Tx {
-            ctx: self,
-            rv,
-            start: Instant::now(),
-            reads: std::mem::take(&mut prep.reads),
-            writes: std::mem::take(&mut prep.writes),
-            wfilter: KeyFilter::new(),
-        };
-        let out = body(&mut tx);
-        let Tx { reads, writes, .. } = tx;
-        prep.reads = reads;
-        prep.writes = writes;
-        out
-    }
 }
 
 impl<'s, P: GracePolicy> Tx<'_, 's, P> {
@@ -1016,47 +922,20 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
         }
         if self.wfilter.may_contain(a as u64) {
             if let Some(e) = self.writes.iter_mut().find(|e| e.addr == a) {
-                e.op = WriteOp::Set;
                 e.val = v;
-                e.delta = 0;
                 return Ok(());
             }
         }
         self.wfilter.insert(a as u64);
-        self.writes.push(WriteEntry {
-            addr: a,
-            op: WriteOp::Set,
-            val: v,
-            delta: 0,
-        });
+        self.writes.push(WriteEntry { addr: a, val: v });
         Ok(())
     }
 
-    /// Transactional commutative increment: read the word, buffer a
-    /// `+delta` write, and return the incremented value. Unlike
-    /// [`write`](Self::write), concurrent `write_add`s to the same word
-    /// can *fold* into one publish under group commit — this is the entry
-    /// point that makes same-key bursts coalesce.
+    /// Transactional increment: read the word (read-your-writes), buffer
+    /// its value plus `delta` as a write, and return the incremented value.
     pub fn write_add(&mut self, a: Addr, delta: u64) -> Result<u64, Abort> {
-        if self.wfilter.may_contain(a as u64) {
-            if let Some(i) = self.writes.iter().position(|e| e.addr == a) {
-                let e = &mut self.writes[i];
-                e.val = e.val.wrapping_add(delta);
-                if e.op == WriteOp::Add {
-                    e.delta = e.delta.wrapping_add(delta);
-                }
-                return Ok(e.val);
-            }
-        }
-        let v0 = self.read(a)?;
-        let val = v0.wrapping_add(delta);
-        self.wfilter.insert(a as u64);
-        self.writes.push(WriteEntry {
-            addr: a,
-            op: WriteOp::Add,
-            val,
-            delta,
-        });
+        let val = self.read(a)?.wrapping_add(delta);
+        self.write(a, val)?;
         Ok(val)
     }
 
@@ -1102,16 +981,27 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
         Ok(())
     }
 
-    /// Phase 2: every recorded read must still hold at our snapshot.
+    /// Phase 2: every recorded read must still hold at our snapshot. A
+    /// word we hold locked ourselves is valid when its *pre-lock* version
+    /// (from `restore`, parallel to the sorted write set) was within the
+    /// snapshot.
     fn validate_read_set(&self, restore: &[u64]) -> Result<(), Abort> {
-        let prelock = |a: Addr| {
-            self.writes[..restore.len()]
-                .binary_search_by_key(&a, |e| e.addr)
-                .ok()
-                .map(|i| restore[i])
-        };
+        let stm = self.ctx.stm;
         for &(a, m1) in &self.reads {
-            if !validate_read(self.ctx.stm, self.ctx.id, a, m1, self.rv, prelock) {
+            // Acquire: pairs with writers' Release meta stores, so a meta
+            // equal to m1 proves no publish completed on this word since
+            // the read — the TL2 phase-2 invariant that the value read
+            // earlier still belongs to version m1.
+            let m = stm.pair(a).meta.load(Ordering::Acquire);
+            let valid = if is_locked(m) {
+                owner_of(m) == self.ctx.id
+                    && self.writes[..restore.len()]
+                        .binary_search_by_key(&a, |e| e.addr)
+                        .is_ok_and(|i| version_of(restore[i]) <= self.rv)
+            } else {
+                m == m1
+            };
+            if !valid {
                 return Err(Abort::Validation);
             }
         }
@@ -1198,412 +1088,6 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
     }
 }
 
-/// A speculatively executed transaction body: the read and write sets of
-/// one attempt, detached from the context so a whole batch can be alive
-/// at once and handed to [`GroupCommit`]. Allocations are reused across
-/// batches via [`TxCtx::speculate_into`].
-#[derive(Debug, Default)]
-pub struct PreparedTx {
-    rv: u64,
-    reads: ReadSet,
-    writes: WriteSet,
-}
-
-impl PreparedTx {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The clock snapshot this speculation ran at.
-    pub fn rv(&self) -> u64 {
-        self.rv
-    }
-
-    /// The buffered writes. After a successful group commit, `Add`
-    /// entries' `val` fields hold the *resolved* values (this member's
-    /// serialization point within the group), so value-bearing responses
-    /// can be built from them.
-    pub fn writes(&self) -> &[WriteEntry] {
-        &self.writes
-    }
-
-    pub fn is_read_only(&self) -> bool {
-        self.writes.is_empty()
-    }
-
-    /// The (resolved) value this transaction left at `a`, if it wrote it.
-    pub fn value_of(&self, a: Addr) -> Option<u64> {
-        self.writes.iter().find(|e| e.addr == a).map(|e| e.val)
-    }
-
-    fn writes_addr(&self, a: Addr) -> bool {
-        self.writes.iter().any(|e| e.addr == a)
-    }
-
-    /// Reads of words this transaction does *not* write — the reads that
-    /// constrain which group it may join.
-    fn plain_reads(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.reads
-            .iter()
-            .map(|&(a, _)| a)
-            .filter(move |&a| !self.writes_addr(a))
-    }
-}
-
-/// How [`GroupCommit`] disposed of one batch member.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemberOutcome {
-    /// Published as part of a group (or validated, for read-only
-    /// members); its `Add` entries carry resolved values.
-    Committed,
-    /// Must be re-run through the per-transaction path ([`TxCtx::run`]),
-    /// where the conflict that evicted it is governed by the grace
-    /// policy.
-    Fallback,
-}
-
-/// The batch-aware group-commit planner.
-///
-/// [`commit_batch`](Self::commit_batch) takes a slice of speculated
-/// members (batch order = serialization order) and:
-///
-/// 1. **partitions** them into groups whose write sets are disjoint —
-///    except that [`WriteOp::Add`] entries on the same word fold — and
-///    whose plain reads don't cross another member's writes (so every
-///    group is serializable in member order);
-/// 2. **commits** each group through the shared three-phase pipeline:
-///    acquire the union of write locks in address order, validate every
-///    member's read set, publish the folded plan under a **single clock
-///    bump**;
-/// 3. **falls back** members that meet a foreign lock, a too-new version,
-///    or a validation failure: they are reported as
-///    [`MemberOutcome::Fallback`] and the group retries without them, so
-///    one conflicting member never sinks its groupmates.
-///
-/// Read-only members join any group and are validated (never locked,
-/// never bumped). A group holding locks never waits on anything, which
-/// keeps the shared-write window short; every real conflict routes
-/// through the per-tx fallback where the [`ConflictArbiter`] applies the
-/// grace policy.
-///
-/// All scratch state is owned and reused — keep one planner per executor.
-#[derive(Debug, Default)]
-pub struct GroupCommit {
-    /// Current group's member indices, batch order.
-    group: Vec<usize>,
-    /// Members of the current group still eligible (commit-time scratch).
-    active: Vec<usize>,
-    /// Partition-time write map of the current group: (addr, any-Set).
-    fit_writes: Vec<(Addr, bool)>,
-    /// Partition-time plain-read set of the current group's writers.
-    fit_reads: Vec<Addr>,
-    /// Commit-time publish plan: the deduped union of the group's write
-    /// addresses (fold structure is read off the members' entries).
-    slots: Vec<Addr>,
-    /// Commit-time pre-lock metas, parallel to `slots`' acquired prefix.
-    restore: Vec<(Addr, u64)>,
-    /// Lifecycle trace sink for group-level events (one `GroupCommit`
-    /// event per published group); `None` while tracing is off.
-    trace: Option<Arc<Trace>>,
-}
-
-impl GroupCommit {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enable lifecycle tracing for this planner's group-level events.
-    pub fn set_trace(&mut self, trace: Arc<Trace>) {
-        self.trace = Some(trace);
-    }
-
-    /// Can `m` join the current group without breaking member-order
-    /// serializability? Read-only members always fit. A writing member
-    /// fits when its writes fold into the group's write map (`Add` over
-    /// `Add`; never over/under a `Set`), its writes miss the group's
-    /// plain reads, and its plain reads miss the group's writes.
-    fn fits(&self, m: &PreparedTx) -> bool {
-        if m.is_read_only() {
-            return true;
-        }
-        for e in m.writes() {
-            match self.fit_writes.iter().find(|&&(a, _)| a == e.addr) {
-                Some(&(_, set)) if set || e.op == WriteOp::Set => return false,
-                _ => {}
-            }
-            if self.fit_reads.contains(&e.addr) {
-                return false;
-            }
-        }
-        m.plain_reads()
-            .all(|a| !self.fit_writes.iter().any(|&(wa, _)| wa == a))
-    }
-
-    /// Add `m` (batch index `mi`) to the current group. Only *writing*
-    /// members contribute their plain reads to the admission constraint:
-    /// a read-only member serializes before every writer of its group
-    /// (it validated pre-group values and writes nothing), so no
-    /// dependency cycle can pass through it — tracking its reads would
-    /// only force needless group splits (and the split-off writer would
-    /// then fail validation against its own batch's publish).
-    fn admit(&mut self, mi: usize, m: &PreparedTx) {
-        self.group.push(mi);
-        if m.is_read_only() {
-            return;
-        }
-        for e in m.writes() {
-            match self.fit_writes.iter_mut().find(|(a, _)| *a == e.addr) {
-                Some(slot) => slot.1 |= e.op == WriteOp::Set,
-                None => self.fit_writes.push((e.addr, e.op == WriteOp::Set)),
-            }
-        }
-        for a in m.plain_reads() {
-            if !self.fit_reads.contains(&a) {
-                self.fit_reads.push(a);
-            }
-        }
-    }
-
-    /// Commit a whole speculated batch. `members[i]`'s disposition lands
-    /// in `outcomes[i]`; committed members' `Add` entries carry resolved
-    /// values afterwards. Group-level counters (`group_commits`,
-    /// `coalesced_writes`, the batch-size histogram) are recorded into
-    /// `stats`; the caller accounts per-member commits and re-runs every
-    /// fallback member *after* this returns (their serialization point
-    /// moves to the end of the batch).
-    pub fn commit_batch(
-        &mut self,
-        stm: &Stm,
-        owner: usize,
-        members: &mut [PreparedTx],
-        stats: &mut EngineStats,
-        outcomes: &mut Vec<MemberOutcome>,
-    ) {
-        self.commit_batch_with(stm, owner, members, stats, outcomes, |_| {});
-    }
-
-    /// [`commit_batch`](Self::commit_batch) with an inline fallback hook:
-    /// `fallback(mi)` fires for each evicted member, in member order,
-    /// immediately after its group's publish and **before** the next
-    /// group commits. A caller that re-runs the member per-tx inside the
-    /// hook preserves batch order as the serialization order end to end,
-    /// which is what makes the final heap — not just conflict-free runs —
-    /// independent of how the batch was grouped.
-    pub fn commit_batch_with(
-        &mut self,
-        stm: &Stm,
-        owner: usize,
-        members: &mut [PreparedTx],
-        stats: &mut EngineStats,
-        outcomes: &mut Vec<MemberOutcome>,
-        mut fallback: impl FnMut(usize),
-    ) {
-        outcomes.clear();
-        outcomes.resize(members.len(), MemberOutcome::Fallback);
-        self.group.clear();
-        self.fit_writes.clear();
-        self.fit_reads.clear();
-        for mi in 0..members.len() {
-            if !self.fits(&members[mi]) {
-                self.flush_group(stm, owner, members, stats, outcomes, &mut fallback);
-            }
-            self.admit(mi, &members[mi]);
-        }
-        self.flush_group(stm, owner, members, stats, outcomes, &mut fallback);
-    }
-
-    /// Commit the current group, fire the fallback hook for its evicted
-    /// members (member order), and reset the partition state.
-    fn flush_group(
-        &mut self,
-        stm: &Stm,
-        owner: usize,
-        members: &mut [PreparedTx],
-        stats: &mut EngineStats,
-        outcomes: &mut [MemberOutcome],
-        fallback: &mut impl FnMut(usize),
-    ) {
-        self.commit_group(stm, owner, members, stats, outcomes);
-        for &mi in &self.group {
-            if outcomes[mi] == MemberOutcome::Fallback {
-                fallback(mi);
-            }
-        }
-        self.group.clear();
-        self.fit_writes.clear();
-        self.fit_reads.clear();
-    }
-
-    /// Release every lock acquired so far in this attempt. Release: the
-    /// unlock side of the meta handoff (pairs with acquirers' CAS-
-    /// Acquire), same as the per-tx `release_locks`.
-    fn release_held(&mut self, stm: &Stm) {
-        for &(a, prev) in &self.restore {
-            stm.pair(a).meta.store(prev, Ordering::Release);
-        }
-        self.restore.clear();
-    }
-
-    /// Evict every still-active member writing `a` (they fall back).
-    fn fail_writers_of(&mut self, a: Addr, members: &[PreparedTx]) {
-        self.active.retain(|&mi| !members[mi].writes_addr(a));
-    }
-
-    /// Commit the current group through acquire → validate → publish,
-    /// retrying with conflicting members evicted until the remainder
-    /// publishes (each retry removes at least one member, so the loop is
-    /// bounded by the group size).
-    fn commit_group(
-        &mut self,
-        stm: &Stm,
-        owner: usize,
-        members: &mut [PreparedTx],
-        stats: &mut EngineStats,
-        outcomes: &mut [MemberOutcome],
-    ) {
-        self.active.clear();
-        self.active.extend_from_slice(&self.group);
-        'retry: while !self.active.is_empty() {
-            // Build the folded publish plan from the surviving members.
-            self.slots.clear();
-            for &mi in &self.active {
-                for e in members[mi].writes() {
-                    if !self.slots.contains(&e.addr) {
-                        self.slots.push(e.addr);
-                    }
-                }
-            }
-            self.slots.sort_unstable();
-
-            // Phase 1: acquire the union of write locks in address order.
-            // A foreign lock evicts that address's writers — no waiting
-            // while the group holds locks; the evicted members' per-tx
-            // re-run contends under the grace policy. No version check
-            // here: blind writes may publish over any version (a later
-            // group legitimately overwrites its predecessor's bump), and
-            // read validity is entirely phase 2's job.
-            self.restore.clear();
-            for si in 0..self.slots.len() {
-                let a = self.slots[si];
-                match lock_cell(stm, a, owner, u64::MAX) {
-                    Ok(prev) => self.restore.push((a, prev)),
-                    Err(_) => {
-                        self.release_held(stm);
-                        self.fail_writers_of(a, members);
-                        continue 'retry;
-                    }
-                }
-            }
-
-            // Phase 2: validate every member's read set (a word locked by
-            // this very group commit is valid if its pre-lock version was
-            // within the member's snapshot).
-            let mut any_failed = false;
-            let restore = &self.restore;
-            self.active.retain(|&mi| {
-                let m = &members[mi];
-                let ok = m.reads.iter().all(|&(a, m1)| {
-                    validate_read(stm, owner, a, m1, m.rv, |a| {
-                        restore
-                            .binary_search_by_key(&a, |&(ra, _)| ra)
-                            .ok()
-                            .map(|i| restore[i].1)
-                    })
-                });
-                any_failed |= !ok;
-                ok
-            });
-            if any_failed {
-                self.release_held(stm);
-                continue 'retry;
-            }
-            // Relaxed: advisory flag (see `Tx::killed`).
-            if stm.kill_flags[owner].load(Ordering::Relaxed) {
-                // A requestor-wins contender flagged us: release and send
-                // the whole group to the per-tx path, which honors the
-                // flag at its next attempt boundary.
-                self.release_held(stm);
-                self.active.clear();
-                return;
-            }
-
-            // Phase 3: publish the folded plan under ONE clock bump,
-            // resolving folded Add values in member (= serialization)
-            // order so value-bearing responses match a serial execution.
-            if !self.slots.is_empty() {
-                // Same publish protocol (and the same ordering argument)
-                // as the per-tx `publish_writes`: flag every held lock
-                // before the group's single AcqRel bump so snapshot
-                // readers can order themselves against it; Relaxed flag
-                // stores ride the bump's Release half.
-                for &(a, _) in &self.restore {
-                    stm.pair(a)
-                        .meta
-                        .store(pack_locked(owner) | PUBLISH_BIT, Ordering::Relaxed);
-                }
-                let wv = stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
-                let mut coalesced = 0u64;
-                for si in 0..self.slots.len() {
-                    let a = self.slots[si];
-                    // Relaxed: we hold the word's lock, and the lock
-                    // CAS's Acquire synchronized with the previous
-                    // publisher's Release, so this reads the latest
-                    // published value without further ordering.
-                    let mut val = stm.pair(a).value.load(Ordering::Relaxed);
-                    let mut first = true;
-                    for gi in 0..self.active.len() {
-                        let mi = self.active[gi];
-                        if let Some(i) = members[mi].writes.iter().position(|e| e.addr == a) {
-                            if !first {
-                                coalesced += 1;
-                            }
-                            first = false;
-                            let e = &mut members[mi].writes[i];
-                            match e.op {
-                                WriteOp::Set => val = e.val,
-                                WriteOp::Add => {
-                                    val = val.wrapping_add(e.delta);
-                                    e.val = val;
-                                }
-                            }
-                        }
-                    }
-                    // Chain slot first (Release stores inside), then the
-                    // hot value with Release so the subsequent meta
-                    // Release publication makes both visible together.
-                    let (pair, cold) = stm.parts(a);
-                    cold.push_chain(wv & VERSION_MASK, val);
-                    pair.value.store(val, Ordering::Release);
-                }
-                for &(a, _) in &self.restore {
-                    // Release: THE publication point for the group — a
-                    // reader whose Acquire meta load sees `wv` also sees
-                    // every value/chain store above.
-                    stm.pair(a).meta.store(wv & VERSION_MASK, Ordering::Release);
-                }
-                self.restore.clear();
-                stats.record_group_commit(self.active.len() as u64, coalesced);
-                if let Some(t) = &self.trace {
-                    t.emit(TraceEvent::lifecycle(
-                        TraceKind::GroupCommit,
-                        TraceTag {
-                            shard: owner as u16,
-                            tx: 0,
-                            key: 0,
-                        },
-                        self.active.len() as u64,
-                        coalesced,
-                    ));
-                }
-            }
-            for &mi in &self.active {
-                outcomes[mi] = MemberOutcome::Committed;
-            }
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1660,7 +1144,7 @@ mod tests {
         });
         assert_eq!(v, 16);
         assert_eq!(stm.read_direct(2), 16);
-        // Set-then-add degrades the entry to a Set of the summed value.
+        // Set-then-add updates the one entry to the summed value.
         let v = t.run(|tx| {
             tx.write(3, 100)?;
             tx.write_add(3, 7)
@@ -1954,35 +1438,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_read_of_group_commit_history() {
-        let stm = Stm::new(8, 1);
-        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
-        t.run(|tx| {
-            tx.write(0, 1)?;
-            tx.write(1, 1)
-        });
-        let rv_before = stm.clock_value();
-        let mut members = speculate_batch(
-            &mut t,
-            &[&|tx| tx.write(0, 2), &|tx| tx.write_add(1, 9).map(|_| ())],
-        );
-        let mut gc = GroupCommit::new();
-        let (mut outcomes, mut stats) = (Vec::new(), EngineStats::default());
-        gc.commit_batch(&stm, 0, &mut members, &mut stats, &mut outcomes);
-        assert_eq!(outcomes, vec![MemberOutcome::Committed; 2]);
-        // The pre-group snapshot still reads the pre-group world...
-        let mut snap = SnapshotTx {
-            stm: &stm,
-            rv: rv_before,
-            chain_misses: 0,
-        };
-        assert_eq!((snap.read(0), snap.read(1)), (Ok(1), Ok(1)));
-        // ...and a fresh snapshot reads the group's publish.
-        let sum = t.run_snapshot(|snap| Ok(snap.read(0)? + snap.read(1)?));
-        assert_eq!(sum, 2 + 10);
-    }
-
-    #[test]
     fn snapshot_readers_never_tear_under_concurrent_writers() {
         // The writer keeps x == y transactionally; snapshot readers must
         // observe the invariant at every sampled clock — without a single
@@ -2021,224 +1476,5 @@ mod tests {
                 });
             }
         });
-    }
-
-    // ---- group commit ----
-
-    /// A borrowed transaction body, as the group-commit tests pass them.
-    type Body<'a, P> = &'a dyn Fn(&mut Tx<'_, '_, P>) -> Result<(), Abort>;
-    /// An owned transaction body under the NoDelay policy (mixed-batch
-    /// equivalence test).
-    type BodyFn = dyn Fn(&mut Tx<'_, '_, NoDelay>) -> Result<(), Abort>;
-
-    /// Speculate `n` bodies through one context, returning the members.
-    fn speculate_batch<P: GracePolicy>(
-        t: &mut TxCtx<'_, P>,
-        bodies: &[Body<'_, P>],
-    ) -> Vec<PreparedTx> {
-        bodies
-            .iter()
-            .map(|body| {
-                let mut prep = PreparedTx::new();
-                t.speculate_into(&mut prep, |tx| body(tx)).unwrap();
-                prep
-            })
-            .collect()
-    }
-
-    #[test]
-    fn group_commit_publishes_disjoint_batch_under_one_bump() {
-        let stm = Stm::new(16, 1);
-        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
-        let mut members = speculate_batch(
-            &mut t,
-            &[&|tx| tx.write(0, 10), &|tx| tx.write(1, 11), &|tx| {
-                tx.write_add(2, 5).map(|_| ())
-            }],
-        );
-        let before = stm.clock_value();
-        let mut gc = GroupCommit::new();
-        let mut outcomes = Vec::new();
-        let mut stats = EngineStats::default();
-        gc.commit_batch(&stm, 0, &mut members, &mut stats, &mut outcomes);
-        assert_eq!(outcomes, vec![MemberOutcome::Committed; 3]);
-        assert_eq!(stm.clock_value(), before + 1, "one bump for the group");
-        assert_eq!(
-            (stm.read_direct(0), stm.read_direct(1), stm.read_direct(2)),
-            (10, 11, 5)
-        );
-        assert_eq!(stats.group_commits, 1);
-        assert_eq!(stats.coalesced_writes, 0);
-        assert_eq!(stats.group_batch_hist.max(), 3);
-    }
-
-    #[test]
-    fn group_commit_folds_adds_and_resolves_serial_values() {
-        let stm = Stm::new(8, 1);
-        stm.write_direct(0, 100);
-        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
-        let mut members = speculate_batch(
-            &mut t,
-            &[
-                &|tx| tx.write_add(0, 1).map(|_| ()),
-                &|tx| tx.write_add(0, 2).map(|_| ()),
-                &|tx| tx.write_add(0, 3).map(|_| ()),
-            ],
-        );
-        // Independent speculation: every member read base 100.
-        assert_eq!(members[2].value_of(0), Some(103));
-        let before = stm.clock_value();
-        let mut gc = GroupCommit::new();
-        let (mut outcomes, mut stats) = (Vec::new(), EngineStats::default());
-        gc.commit_batch(&stm, 0, &mut members, &mut stats, &mut outcomes);
-        assert_eq!(outcomes, vec![MemberOutcome::Committed; 3]);
-        assert_eq!(stm.clock_value(), before + 1, "folded adds share one bump");
-        assert_eq!(stm.read_direct(0), 106);
-        // Resolved values follow member order: 101, 103, 106.
-        assert_eq!(members[0].value_of(0), Some(101));
-        assert_eq!(members[1].value_of(0), Some(103));
-        assert_eq!(members[2].value_of(0), Some(106));
-        assert_eq!(stats.coalesced_writes, 2, "two folds on the shared key");
-        assert_eq!(stats.group_commits, 1);
-    }
-
-    #[test]
-    fn group_commit_splits_set_collisions_into_ordered_groups() {
-        let stm = Stm::new(8, 1);
-        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
-        let mut members = speculate_batch(
-            &mut t,
-            &[&|tx| tx.write(0, 1), &|tx| tx.write(0, 2), &|tx| {
-                tx.write(0, 3)
-            }],
-        );
-        let before = stm.clock_value();
-        let mut gc = GroupCommit::new();
-        let (mut outcomes, mut stats) = (Vec::new(), EngineStats::default());
-        gc.commit_batch(&stm, 0, &mut members, &mut stats, &mut outcomes);
-        assert_eq!(outcomes, vec![MemberOutcome::Committed; 3]);
-        assert_eq!(stm.clock_value(), before + 3, "three Set groups");
-        assert_eq!(stm.read_direct(0), 3, "batch order = serial order");
-        assert_eq!(stats.group_commits, 3);
-    }
-
-    #[test]
-    fn group_commit_read_only_members_validate_without_bumping() {
-        let stm = Stm::new(8, 1);
-        stm.write_direct(1, 7);
-        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
-        let mut members = speculate_batch(&mut t, &[&|tx| tx.read(1).map(|_| ())]);
-        let before = stm.clock_value();
-        let mut gc = GroupCommit::new();
-        let (mut outcomes, mut stats) = (Vec::new(), EngineStats::default());
-        gc.commit_batch(&stm, 0, &mut members, &mut stats, &mut outcomes);
-        assert_eq!(outcomes, vec![MemberOutcome::Committed]);
-        assert_eq!(stm.clock_value(), before, "read-only groups never bump");
-        assert_eq!(stats.group_commits, 0);
-    }
-
-    #[test]
-    fn group_commit_foreign_lock_evicts_only_that_writer() {
-        let stm = Stm::new(8, 2);
-        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
-        let mut members = speculate_batch(
-            &mut t,
-            &[
-                &|tx| tx.write(0, 10),
-                &|tx| tx.write(1, 11), // will meet a foreign lock
-            ],
-        );
-        // Thread 1 holds word 1's lock.
-        let held = stm.pair(1).meta.load(Ordering::SeqCst);
-        stm.pair(1).meta.store(pack_locked(1), Ordering::SeqCst);
-        let mut gc = GroupCommit::new();
-        let (mut outcomes, mut stats) = (Vec::new(), EngineStats::default());
-        gc.commit_batch(&stm, 0, &mut members, &mut stats, &mut outcomes);
-        assert_eq!(
-            outcomes,
-            vec![MemberOutcome::Committed, MemberOutcome::Fallback],
-            "the blocked writer falls back; its groupmate still commits"
-        );
-        assert_eq!(stm.read_direct(0), 10);
-        assert_eq!(stm.read_direct(1), 0, "fallback member must not publish");
-        stm.pair(1).meta.store(held, Ordering::SeqCst);
-    }
-
-    #[test]
-    fn group_commit_stale_member_falls_back_and_state_stays_consistent() {
-        let stm = Stm::new(8, 2);
-        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
-        let mut members = speculate_batch(
-            &mut t,
-            &[&|tx| tx.write_add(0, 1).map(|_| ()), &|tx| {
-                tx.write_add(1, 1).map(|_| ())
-            }],
-        );
-        // A foreign commit advances word 1 after speculation: member 1's
-        // snapshot is stale at group-commit time.
-        let mut other = ctx(&stm, 1, NoDelay::requestor_aborts());
-        other.run(|tx| tx.write(1, 50));
-        let mut gc = GroupCommit::new();
-        let (mut outcomes, mut stats) = (Vec::new(), EngineStats::default());
-        gc.commit_batch(&stm, 0, &mut members, &mut stats, &mut outcomes);
-        assert_eq!(
-            outcomes,
-            vec![MemberOutcome::Committed, MemberOutcome::Fallback]
-        );
-        assert_eq!(stm.read_direct(0), 1);
-        assert_eq!(stm.read_direct(1), 50, "stale member must not publish");
-        // The fallback path completes the member exactly-once.
-        t.run(|tx| tx.write_add(1, 1).map(|_| ()));
-        assert_eq!(stm.read_direct(1), 51);
-    }
-
-    #[test]
-    fn group_commit_matches_per_tx_heap_for_a_mixed_batch() {
-        // The equivalence the servers rely on: same bodies, same member
-        // order → same final heap whether committed per-tx or grouped.
-        let bodies: Vec<Box<BodyFn>> = vec![
-            Box::new(|tx| tx.write_add(0, 3).map(|_| ())),
-            Box::new(|tx| tx.write(1, 9)),
-            Box::new(|tx| tx.write_add(0, 4).map(|_| ())),
-            Box::new(|tx| tx.read(1).map(|_| ())),
-            Box::new(|tx| tx.write(1, 20)),
-            Box::new(|tx| {
-                tx.write_add(2, 1)?;
-                tx.write_add(0, 1).map(|_| ())
-            }),
-        ];
-        let grouped = Stm::new(8, 1);
-        let mut t = ctx(&grouped, 0, NoDelay::requestor_aborts());
-        let mut members: Vec<PreparedTx> = bodies
-            .iter()
-            .map(|b| {
-                let mut p = PreparedTx::new();
-                t.speculate_into(&mut p, |tx| b(tx)).unwrap();
-                p
-            })
-            .collect();
-        let mut gc = GroupCommit::new();
-        let (mut outcomes, mut stats) = (Vec::new(), EngineStats::default());
-        // m5 read word 0, which an earlier group of this very batch
-        // republished — it is evicted and re-runs per-tx *inside the
-        // hook*, at its serial position, exactly like the executor.
-        gc.commit_batch_with(&grouped, 0, &mut members, &mut stats, &mut outcomes, |mi| {
-            t.run(|tx| bodies[mi](tx));
-        });
-        assert!(outcomes[..5].iter().all(|&o| o == MemberOutcome::Committed));
-        assert_eq!(outcomes[5], MemberOutcome::Fallback);
-
-        let per_tx = Stm::new(8, 1);
-        let mut t = ctx(&per_tx, 0, NoDelay::requestor_aborts());
-        for b in &bodies {
-            t.run(|tx| b(tx));
-        }
-        assert_eq!(grouped.snapshot_direct(), per_tx.snapshot_direct());
-        assert!(
-            grouped.clock_value() < per_tx.clock_value(),
-            "grouping must spend fewer clock bumps ({} vs {})",
-            grouped.clock_value(),
-            per_tx.clock_value()
-        );
     }
 }

@@ -142,17 +142,16 @@ fn server_same_seed_identical_logical_stats() {
     );
 }
 
-/// Group-commit variant of the steal-disabled exact-stats test: batching
-/// transactions into one clock bump must not change a single logical
-/// counter *or* the heap. With stealing off, partitioned keys, and no
-/// cross-shard RMWs, every popped batch folds into one conflict-free
-/// group, so commits/aborts/sheds stay exact — and because grouping only
-/// reorders commutative increments, the final checksum must equal the
-/// grouping-OFF run of the same seed (observable state is independent of
-/// commit grouping).
+/// Closed-loop, steal-disabled exact-stats test at the per-shard level,
+/// on the same config as `server_same_seed_identical_logical_stats`: with
+/// stealing off every request executes on its home shard, so each
+/// shard's commit tally — not only the merged one — is a pure function of
+/// the seed. Batching only amortizes the ring handshake, never the commit:
+/// every transaction publishes on its own, so draining one envelope per
+/// pop (`batch_max = 1`) must land the same heap as the default batches.
 #[test]
-fn server_steal_disabled_exact_stats_group_commit_both_modes() {
-    let run = |seed: u64, group_commit: bool| {
+fn server_steal_disabled_exact_per_shard_stats_any_batch_size() {
+    let run = |seed: u64, batch_max: usize| {
         let cfg = ServeConfig {
             shards: 2,
             clients: 3,
@@ -165,57 +164,8 @@ fn server_steal_disabled_exact_stats_group_commit_both_modes() {
             think_ns: 0,
             work_ns: 0,
             queue_capacity: 16,
+            batch_max,
             steal: false,
-            group_commit,
-            seed,
-            ..Default::default()
-        };
-        let r = run_server(&cfg, NoDelay::requestor_aborts());
-        let m = r.stats.merged();
-        (m.commits, m.aborts, m.sheds, r.state_sum, r.state_checksum)
-    };
-    let grouped = run(21, true);
-    assert_eq!(
-        grouped,
-        run(21, true),
-        "same seed must reproduce every logical counter with grouping on"
-    );
-    let (commits, aborts, sheds, _, checksum) = grouped;
-    assert_eq!(commits, 3 * 400, "every issued request must commit");
-    assert_eq!(aborts, 0, "partitioned keys cannot conflict");
-    assert_eq!(sheds, 0);
-    assert_eq!(
-        run(21, false).4,
-        checksum,
-        "the heap must be identical with grouping on and off"
-    );
-}
-
-/// Open-loop, steal-disabled, group-commit-ON exact-stats variant: even
-/// the per-shard commit tallies stay pure functions of the seed when
-/// batches commit as groups, and nothing ever aborts or falls back
-/// (partitioned keys make every group conflict-free).
-#[test]
-fn server_open_loop_steal_disabled_exact_stats_group_commit_on() {
-    let run = |seed: u64| {
-        let cfg = ServeConfig {
-            shards: 2,
-            clients: 3,
-            ops_per_client: 400,
-            keys: 128,
-            zipf_s: 0.9,
-            read_fraction: 0.5,
-            rmw_fraction: 0.0,
-            rmw_span: 1,
-            think_ns: 0,
-            work_ns: 0,
-            queue_capacity: 4096,
-            steal: false,
-            group_commit: true,
-            mode: LoadMode::Open {
-                rate_per_client: 150_000.0,
-                window: 64,
-            },
             seed,
             ..Default::default()
         };
@@ -224,23 +174,30 @@ fn server_open_loop_steal_disabled_exact_stats_group_commit_on() {
         let m = r.stats.merged();
         (
             per_shard_commits,
+            m.commits,
             m.aborts,
             m.sheds,
-            m.group_fallbacks,
+            r.state_sum,
             r.state_checksum,
         )
     };
-    let a = run(51);
+    let batch_max = ServeConfig::default().batch_max;
+    let a = run(21, batch_max);
     assert_eq!(
         a,
-        run(51),
-        "steal-off per-shard stats must be exact across same-seed runs"
+        run(21, batch_max),
+        "same seed must reproduce every per-shard counter"
     );
-    let (per_shard, aborts, sheds, fallbacks, _) = a;
-    assert_eq!(per_shard.iter().sum::<u64>(), 3 * 400);
-    assert_eq!(aborts, 0, "partitioned keys without stealing cannot abort");
+    let (per_shard, commits, aborts, sheds, _, checksum) = a;
+    assert_eq!(per_shard.iter().sum::<u64>(), commits);
+    assert_eq!(commits, 3 * 400, "every issued request must commit");
+    assert_eq!(aborts, 0, "partitioned keys cannot conflict");
     assert_eq!(sheds, 0);
-    assert_eq!(fallbacks, 0, "conflict-free groups never fall back");
+    assert_eq!(
+        run(21, 1).5,
+        checksum,
+        "the heap must not depend on the executors' batch size"
+    );
 }
 
 /// Under genuine cross-shard contention — and with work stealing

@@ -358,94 +358,6 @@ fn stm_stack_matches_vec_model() {
     assert_eq!(st.contents_direct(&stm), model);
 }
 
-/// Batch-aware group commit must be observationally equivalent to per-tx
-/// commit: for arbitrary batches — disjoint writes, overlapping
-/// commutative increments, overlapping absolute writes, interleaved
-/// reads — the final heap (every key, not just the sum) is identical,
-/// and grouping never spends *more* clock bumps.
-mod group_commit_equivalence {
-    use super::*;
-
-    /// One transaction-body step: `kind % 3` selects read / set / add.
-    type Step = (usize, u8, u64);
-
-    fn run_steps<P: GracePolicy>(tx: &mut Tx<'_, '_, P>, steps: &[Step]) -> Result<(), Abort> {
-        for &(a, kind, v) in steps {
-            match kind % 3 {
-                0 => {
-                    tx.read(a)?;
-                }
-                1 => tx.write(a, v)?,
-                _ => {
-                    tx.write_add(a, v)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    const WORDS: usize = 8;
-
-    fn batches() -> impl Strategy<Value = Vec<Vec<Step>>> {
-        prop::collection::vec(
-            prop::collection::vec((0..WORDS, 0u8..3, 1u64..100), 1..4),
-            1..12,
-        )
-    }
-
-    proptest! {
-        #[test]
-        fn grouped_commit_matches_per_tx_heap(batch in batches()) {
-            // Grouped: speculate the whole batch, commit through the
-            // planner, re-run evictions per-tx inside the fallback hook
-            // (the executor's protocol).
-            let grouped = Stm::new(WORDS, 1);
-            let mut ctx = TxCtx::new(
-                &grouped,
-                0,
-                NoDelay::requestor_aborts(),
-                Xoshiro256StarStar::new(1),
-            );
-            let mut members: Vec<PreparedTx> = batch
-                .iter()
-                .map(|steps| {
-                    let mut p = PreparedTx::new();
-                    ctx.speculate_into(&mut p, |tx| run_steps(tx, steps))
-                        .expect("single-threaded speculation cannot conflict");
-                    p
-                })
-                .collect();
-            let mut gc = GroupCommit::new();
-            let mut outcomes = Vec::new();
-            let mut stats = EngineStats::default();
-            gc.commit_batch_with(&grouped, 0, &mut members, &mut stats, &mut outcomes, |mi| {
-                ctx.run(|tx| run_steps(tx, &batch[mi]));
-            });
-
-            // Per-tx: the same bodies, committed one by one in order.
-            let per_tx = Stm::new(WORDS, 1);
-            let mut ctx = TxCtx::new(
-                &per_tx,
-                0,
-                NoDelay::requestor_aborts(),
-                Xoshiro256StarStar::new(2),
-            );
-            for steps in &batch {
-                ctx.run(|tx| run_steps(tx, steps));
-            }
-
-            // Per-key state must be independent of commit grouping.
-            prop_assert_eq!(grouped.snapshot_direct(), per_tx.snapshot_direct());
-            prop_assert!(
-                grouped.clock_value() <= per_tx.clock_value(),
-                "grouping must never add clock bumps ({} vs {})",
-                grouped.clock_value(),
-                per_tx.clock_value()
-            );
-        }
-    }
-}
-
 /// MVCC snapshot reads must be atomic with respect to writer commits:
 /// with every writer transaction adding 1 to *all* of `K` cells, the heap
 /// sum is a multiple of `K` at every clock value — so any snapshot range
